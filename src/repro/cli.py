@@ -58,8 +58,8 @@ import sys
 
 from . import kernel
 from .collapse import CollapseRules
-from .core import MachineConfig, config_letters, paper_config, \
-    simulate_many, simulate_trace
+from .core import CellInputs, MachineConfig, config_letters, \
+    paper_config, simulate_many
 from .metrics import render_table
 from .trace import TraceStats, load_trace, save_trace, signature_mix
 from .workloads import SUITE, WORKLOADS, get_workload
@@ -173,16 +173,9 @@ def _build_config(args):
 def cmd_simulate(args):
     trace = _load_target(args.workload, args.scale)
     config = _build_config(args)
-    dae_plan = None
-    if config.dae and args.workload in WORKLOADS:
-        from .workloads import cached_dae_plan
-        dae_plan = cached_dae_plan(args.workload, args.scale)
-    branch_plan = None
-    if config.branch_spec and args.workload in WORKLOADS:
-        from .workloads import cached_branch_plan
-        branch_plan = cached_branch_plan(args.workload, args.scale)
-    result = simulate_trace(trace, config, sanitize=args.sanitize,
-                            dae_plan=dae_plan, branch_plan=branch_plan)
+    inputs = CellInputs.workload(args.workload, args.scale, trace=trace) \
+        if args.workload in WORKLOADS else CellInputs(trace)
+    result = inputs.simulate(config, sanitize=args.sanitize)
     print("%s on %s" % (config.name, trace.name))
     if args.sanitize:
         print("  sanitize     : ok (model invariants held)")
@@ -266,11 +259,9 @@ def cmd_report(args):
 
 def _lint_cross_check(name, report, scale):
     """Simulate the workload and verify the static collapse bound."""
-    from .workloads import cached_trace
-    trace = cached_trace(name, scale)
-    config = paper_config("C", 8)
-    result = simulate_trace(trace, config, sanitize=True)
-    bound = report.collapse_bound.bound_for_trace(trace)
+    inputs = CellInputs.workload(name, scale)
+    result = inputs.simulate(paper_config("C", 8), sanitize=True)
+    bound = report.collapse_bound.bound_for_trace(inputs.trace)
     ok = bound >= result.collapse.events
     print("  cross-check %s: static bound %d %s dynamic events %d "
           "(C/8, sanitized)"
@@ -282,8 +273,7 @@ def _lint_addr_check(name, report, scale):
     """Run the per-PC predictor and verify the address classification."""
     from .addrpred import run_address_predictor
     from .lint import cross_check
-    from .workloads import cached_trace
-    trace = cached_trace(name, scale)
+    trace = CellInputs.workload(name, scale).trace
     result = run_address_predictor(trace, per_pc=True)
     check = cross_check(report.addr_classes, trace, result)
     print("  addr-check %s: %s — %d sites checked (%d aliased, %d "
@@ -303,11 +293,9 @@ def _lint_memdep_check(name, report, scale):
     """Replay the trace's store->load dependences and an MDPT (config
     F) simulation against the static may-alias conflict set."""
     from .lint import memdep_cross_check
-    from .workloads import cached_trace
-    trace = cached_trace(name, scale)
-    config = paper_config("F", 8)
-    result = simulate_trace(trace, config, sanitize=True)
-    check = memdep_cross_check(report.memdep_bound, trace, result)
+    inputs = CellInputs.workload(name, scale)
+    result = inputs.simulate(paper_config("F", 8), sanitize=True)
+    check = memdep_cross_check(report.memdep_bound, inputs.trace, result)
     memdep = result.memdep
     print("  memdep-check %s: %s — static conflict pairs %d %s "
           "distinct dynamic pairs %d (%d MDPT-learned, %d violations, "
@@ -328,8 +316,7 @@ def _lint_recur_check(name, report, scale, widest=2048):
     simulated IPC at the widest machine)."""
     from .lint import recurrence_cross_check
     from .lint.recurrence import VARIANTS
-    from .workloads import cached_trace
-    trace = cached_trace(name, scale)
+    trace = CellInputs.workload(name, scale).trace
     check = recurrence_cross_check(report.recurrence, trace,
                                    widest=widest)
     print("  recur-check %s: %s — %d loops, %d runs checked "
@@ -363,8 +350,7 @@ def _lint_value_check(name, report, scale, widest=2048):
     stride-predictor histograms and the variant-V soundness chain
     (static ceiling >= graph-V dataflow IPC >= simulated config I)."""
     from .lint import valueflow_cross_check
-    from .workloads import cached_trace
-    trace = cached_trace(name, scale)
+    trace = CellInputs.workload(name, scale).trace
     check = valueflow_cross_check(report.valueflow, trace,
                                   recurrence=report.recurrence,
                                   widest=widest)
@@ -391,12 +377,9 @@ def _lint_dae_check(name, report, scale):
     """Simulate configuration H with the static decoupling plan and
     verify the slice <-> occupancy invariants."""
     from .lint import dae_cross_check
-    from .workloads import cached_dae_plan, cached_trace
-    trace = cached_trace(name, scale)
-    plan = cached_dae_plan(name, scale)
-    result = simulate_trace(trace, paper_config("H", 8), sanitize=True,
-                            dae_plan=plan)
-    check = dae_cross_check(report.dae, trace, result)
+    inputs = CellInputs.workload(name, scale)
+    result = inputs.simulate(paper_config("H", 8), sanitize=True)
+    check = dae_cross_check(report.dae, inputs.trace, result)
     print("  dae-check %s: %s — %d loops (%d clean, %d queued, %d "
           "chase-poisoned, %d skipped), peak queue %d, %d enqueued / "
           "%d popped, %d chase deps on coupled loops (H/8, sanitized)"
@@ -414,8 +397,7 @@ def _lint_branch_check(name, report, scale, widest=2048):
     histograms and the config-J soundness chain (static ceiling >=
     measured accuracy >= early-resolution coverage)."""
     from .lint import branchflow_cross_check
-    from .workloads import cached_trace
-    trace = cached_trace(name, scale)
+    trace = CellInputs.workload(name, scale).trace
     check = branchflow_cross_check(report.branchflow, trace,
                                    widest=widest)
     print("  branch-check %s: %s — %d sites, %d trip floors checked, "

@@ -35,6 +35,7 @@ from .results import (
 from .elimination import compute_sole_readers
 from .scheduler import WindowScheduler
 from .simulator import (
+    CellInputs,
     branch_outcomes,
     load_outcomes,
     simulate_many,
@@ -51,7 +52,7 @@ __all__ = [
     "paper_config", "register_config", "unregister_config",
     "LOAD_CATEGORIES", "LOAD_NOT_PREDICTED", "LOAD_PRED_CORRECT",
     "LOAD_PRED_INCORRECT", "LOAD_READY", "LoadStats", "SimResult",
-    "WindowScheduler", "compute_sole_readers",
+    "CellInputs", "WindowScheduler", "compute_sole_readers",
     "branch_outcomes", "load_outcomes", "simulate_many", "simulate_trace",
     "value_outcomes",
 ]

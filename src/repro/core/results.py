@@ -48,6 +48,29 @@ class LoadStats:
         return stats
 
 
+def _mechanism_stats():
+    """``SimResult`` field -> statistics class of the scheduler mechanism
+    that fills it (``None`` when the mechanism was not bound)."""
+    from ..memdep.stats import MemDepStats
+    from .branchspecstats import BranchSpecStats
+    from .daestats import DAEStats
+    from .vspecstats import ValueSpecStats
+    return {"memdep": MemDepStats, "dae": DAEStats,
+            "value_spec": ValueSpecStats, "branch_spec": BranchSpecStats}
+
+
+def merged_stats(results, field):
+    """The mechanism statistics ``field`` of ``results`` merged into one
+    record, and the per-1k-instruction scale over those results."""
+    merged = _mechanism_stats()[field]()
+    for result in results:
+        stats = getattr(result, field)
+        if stats is not None:
+            merged.merge(stats)
+    return merged, 1000.0 / max(1, sum(result.instructions
+                                       for result in results))
+
+
 class SimResult:
     """Outcome of simulating one trace on one machine configuration."""
 
@@ -112,7 +135,7 @@ class SimResult:
         drops is ``collapse.collapsed_positions`` membership, which is
         folded into a count exactly like :meth:`CollapseStats.merge`.
         """
-        return {
+        payload = {
             "config_name": self.config_name,
             "issue_width": self.issue_width,
             "window_size": self.window_size,
@@ -127,15 +150,12 @@ class SimResult:
             "issue_cycles": (list(self.issue_cycles)
                              if self.issue_cycles is not None else None),
             "eliminated_positions": sorted(self.eliminated_positions),
-            "memdep": (self.memdep.to_payload()
-                       if self.memdep is not None else None),
-            "dae": (self.dae.to_payload()
-                    if self.dae is not None else None),
-            "value_spec": (self.value_spec.to_payload()
-                           if self.value_spec is not None else None),
-            "branch_spec": (self.branch_spec.to_payload()
-                            if self.branch_spec is not None else None),
         }
+        for field in _mechanism_stats():
+            stats = getattr(self, field)
+            payload[field] = stats.to_payload() if stats is not None \
+                else None
+        return payload
 
     @classmethod
     def from_payload(cls, payload):
@@ -162,30 +182,10 @@ class SimResult:
                                if issue_cycles is not None else None)
         result.eliminated_positions = frozenset(
             payload.get("eliminated_positions") or ())
-        memdep = payload.get("memdep")
-        if memdep is not None:
-            from ..memdep.stats import MemDepStats
-            result.memdep = MemDepStats.from_payload(memdep)
-        else:
-            result.memdep = None
-        dae = payload.get("dae")
-        if dae is not None:
-            from .daestats import DAEStats
-            result.dae = DAEStats.from_payload(dae)
-        else:
-            result.dae = None
-        value_spec = payload.get("value_spec")
-        if value_spec is not None:
-            from .vspecstats import ValueSpecStats
-            result.value_spec = ValueSpecStats.from_payload(value_spec)
-        else:
-            result.value_spec = None
-        branch_spec = payload.get("branch_spec")
-        if branch_spec is not None:
-            from .branchspecstats import BranchSpecStats
-            result.branch_spec = BranchSpecStats.from_payload(branch_spec)
-        else:
-            result.branch_spec = None
+        for field, stats_class in _mechanism_stats().items():
+            stats = payload.get(field)
+            setattr(result, field, stats_class.from_payload(stats)
+                    if stats is not None else None)
         return result
 
     def __repr__(self):

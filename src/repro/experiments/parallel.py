@@ -23,33 +23,24 @@ import time
 from ..cache import DiskCache
 from ..core.config import paper_config
 from ..core.results import SimResult
-from ..core.scheduler import WindowScheduler
-from ..core.simulator import branch_outcomes, load_outcomes
+from ..core.simulator import CellInputs
 from ..metrics.tables import render_table
-from ..workloads.registry import (
-    cached_branch_plan,
-    cached_dae_plan,
-    cached_trace,
-)
+from ..workloads.registry import cached_trace
 
-#: Per-worker-process memo: (name, scale, cache_dir) -> (trace, branch,
-#: loads).  Six workloads at bench scales fit comfortably in memory.
+#: Per-worker-process memo: (name, scale, cache_dir) -> CellInputs.  Six
+#: workloads at bench scales fit comfortably in memory.
 _WORKER_STATE = {}
 
 
 def _cell_inputs(name, scale, cache_dir):
     key = (name, scale, cache_dir)
-    state = _WORKER_STATE.get(key)
-    if state is None:
+    if key not in _WORKER_STATE:
+        trace = None
         if cache_dir is not None:
-            cache = DiskCache(cache_dir)
-            trace = cache.get_trace(name, scale,
-                                    lambda: cached_trace(name, scale))
-        else:
-            trace = cached_trace(name, scale)
-        state = (trace, branch_outcomes(trace), load_outcomes(trace))
-        _WORKER_STATE[key] = state
-    return state
+            trace = DiskCache(cache_dir).get_trace(
+                name, scale, lambda: cached_trace(name, scale))
+        _WORKER_STATE[key] = CellInputs.workload(name, scale, trace=trace)
+    return _WORKER_STATE[key]
 
 
 def _run_cell(task):
@@ -67,26 +58,8 @@ def _run_cell(task):
         if result is not None:
             return (index, result.to_payload(),
                     time.perf_counter() - started, True, cache.stats())
-    trace, branch, loads = _cell_inputs(name, scale, cache_dir)
-    prediction = loads if config.load_spec == "real" else None
-    values = None
-    if config.value_spec:
-        from ..core.simulator import _value_predictor_kind, value_outcomes
-        values = value_outcomes(trace,
-                                predictor=_value_predictor_kind(config))
-    dae_plan = cached_dae_plan(name, scale) if config.dae else None
-    branch_plan = (cached_branch_plan(name, scale)
-                   if config.branch_spec else None)
-    sanitizer = None
-    if sanitize:
-        from ..core.simulator import make_sanitizer
-        sanitizer = make_sanitizer(trace, config, branch,
-                                   dae_plan=dae_plan,
-                                   branch_plan=branch_plan)
-    result = WindowScheduler(trace, config, branch, prediction, values,
-                             sanitizer=sanitizer,
-                             dae_plan=dae_plan,
-                             branch_plan=branch_plan).run()
+    result = _cell_inputs(name, scale, cache_dir).simulate(
+        config, sanitize=sanitize)
     if not keep_schedules:
         result.issue_cycles = None
     if cache is not None:

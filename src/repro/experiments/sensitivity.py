@@ -7,8 +7,7 @@ the claim is checked by the repository itself rather than asserted.
 """
 
 from ..core.config import MachineConfig
-from ..core.scheduler import WindowScheduler
-from ..core.simulator import branch_outcomes, load_outcomes
+from ..core.simulator import CellInputs
 from ..collapse.rules import CollapseRules
 from ..workloads.registry import cached_trace
 from .exhibit import Exhibit
@@ -27,10 +26,10 @@ def scale_sensitivity(name, scales=(0.25, 0.5, 1.0), width=16):
                              load_spec="real")
     for scale in scales:
         trace = cached_trace(name, scale)
-        branch = branch_outcomes(trace)
-        loads = load_outcomes(trace)
-        base = WindowScheduler(trace, config_a, branch).run()
-        result = WindowScheduler(trace, config_d, branch, loads).run()
+        inputs = CellInputs(trace)
+        base = inputs.simulate(config_a)
+        result = inputs.simulate(config_d)
+        branch = inputs.branch()
         fractions = result.loads.fractions()
         rows.append([
             scale,

@@ -47,7 +47,7 @@ def table2(runner):
     headers = ["name", "cond branches (%)", "predicted correctly (%)"]
     rows = []
     for name in runner.names:
-        branch = runner.branch(name)
+        branch = runner.inputs(name).branch()
         rows.append([name,
                      100.0 * branch.cond_branch_fraction,
                      100.0 * branch.accuracy])

@@ -770,16 +770,10 @@ def branchflow_cross_check(branchflow, trace, result=None,
     check.plan_branches = len(plan.resolves)
     if sim_results is None and simulate:
         from ..core.config import paper_config
-        from ..core.simulator import simulate_trace
-        sim_results = {
-            "C": simulate_trace(trace, paper_config("C", widest),
-                                branch_result=result),
-            "I": simulate_trace(trace, paper_config("I", widest),
-                                branch_result=result),
-            "J": simulate_trace(trace, paper_config("J", widest),
-                                branch_result=result,
-                                branch_plan=plan),
-        }
+        from ..core.simulator import CellInputs
+        inputs = CellInputs(trace, branch_plan=plan, branch_pass=result)
+        sim_results = {letter: inputs.simulate(paper_config(letter, widest))
+                       for letter in "CIJ"}
     if sim_results:
         check.sim = dict(sim_results)
         from .ipcbound import fetch_refined_ipc

@@ -230,12 +230,11 @@ def recurrence_cross_check(analysis, trace, sim_ipcs=None, widest=2048,
     # ---- link 3: dataflow IPC >= simulated IPC at the widest machine
     if sim_ipcs is None and simulate:
         from ..core.config import paper_config
-        from ..core.simulator import simulate_trace
-        sim_ipcs = {}
-        for variant, letter in SIM_LETTERS.items():
-            result = simulate_trace(trace,
-                                    paper_config(letter, widest))
-            sim_ipcs[variant] = result.ipc
+        from ..core.simulator import CellInputs
+        inputs = CellInputs(trace)
+        sim_ipcs = {variant: inputs.simulate(paper_config(letter,
+                                                          widest)).ipc
+                    for variant, letter in SIM_LETTERS.items()}
     if sim_ipcs:
         check.sim = dict(sim_ipcs)
         links = (("A", "A"), ("C", "C"), ("E", "E_ideal"), ("V", "V"))

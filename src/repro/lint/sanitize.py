@@ -326,14 +326,17 @@ class SchedulerSanitizer:
             self._violate(
                 "value squash of %d against load %d it never "
                 "speculated on" % (w, p))
-        if self._issue_cycle[w] is None:
-            self._violate(
-                "position %d value-squashed without having issued"
-                % (w,))
+        self._undo_issue(w, "value-squashed")
+
+    def _undo_issue(self, p, squashed):
+        """A squash undoes ``p``'s issue until its replay."""
+        if self._issue_cycle[p] is None:
+            self._violate("position %d %s without having issued"
+                          % (p, squashed))
             return
-        self._issue_cycle[w] = None
-        self._completion[w] = None
-        self._squashed.add(w)
+        self._issue_cycle[p] = None
+        self._completion[p] = None
+        self._squashed.add(p)
 
     def on_branch_resolve(self, i, p, cycle):
         """Mispredicted exit branch ``i``'s fetch fence is waived: its
@@ -433,13 +436,7 @@ class SchedulerSanitizer:
     def on_squash(self, p, cycle):
         """Position ``p`` is squashed for replay after a violation."""
         self.mem_squashes += 1
-        if self._issue_cycle[p] is None:
-            self._violate("position %d squashed without having issued"
-                          % (p,))
-            return
-        self._issue_cycle[p] = None
-        self._completion[p] = None
-        self._squashed.add(p)
+        self._undo_issue(p, "squashed")
 
     # -- decoupled access/execute hooks (configuration H) --------------
 
@@ -579,40 +576,28 @@ class SchedulerSanitizer:
             self._violate(
                 "positions %s squashed but never replayed"
                 % (sorted(self._squashed)[:4],))
-        # Memory-order recovery invariant: no committed load reads a
-        # value older than the last program-order store to its address.
-        for i, p in sorted(self._mem_dep.items()):
+        # Recovery invariants, one (position, producer) pair each:
+        # memory order — no committed load reads a value older than the
+        # last program-order store to its address; value — a consumer
+        # that rode a wrong prediction finally issued no earlier than
+        # the watched load's completion (the replay, or the released
+        # wait, re-imposed the architectural value).
+        pairs = [(i, p, "load %d finally issued at cycle %d before the "
+                  "last prior store to its word (position %d) completed "
+                  "at %d: stale value committed")
+                 for i, p in sorted(self._mem_dep.items())]
+        pairs += [(w, p, "consumer %d finally issued at cycle %d before "
+                   "the wrong-predicted load %d it rode completed at %d: "
+                   "stale speculative value committed")
+                  for w, loads in sorted(self._value_watch.items())
+                  for p in sorted(loads)]
+        for i, p, message in pairs:
             if i in self._eliminated or p in self._eliminated:
                 continue
             li = self._issue_cycle[i]
             pc = self._completion[p]
-            if li is None or pc is None:
-                continue
-            if li < pc:
-                self._violate(
-                    "load %d finally issued at cycle %d before the last "
-                    "prior store to its word (position %d) completed at "
-                    "%d: stale value committed" % (i, li, p, pc))
-        # Value recovery invariant: a consumer that rode a wrong
-        # prediction must have finally issued no earlier than the
-        # watched load's completion — the replay (or the released wait)
-        # re-imposed the architectural value.
-        for w, loads in sorted(self._value_watch.items()):
-            if w in self._eliminated:
-                continue
-            li = self._issue_cycle[w]
-            for p in sorted(loads):
-                if p in self._eliminated:
-                    continue
-                pc = self._completion[p]
-                if li is None or pc is None:
-                    continue
-                if li < pc:
-                    self._violate(
-                        "consumer %d finally issued at cycle %d before "
-                        "the wrong-predicted load %d it rode completed "
-                        "at %d: stale speculative value committed"
-                        % (w, li, p, pc))
+            if li is not None and pc is not None and li < pc:
+                self._violate(message % (i, li, p, pc))
         if self._occupancy != 0 and not self.violations:
             self._violate("window occupancy %d at end of run"
                           % (self._occupancy,))

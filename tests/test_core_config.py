@@ -194,12 +194,15 @@ def test_get_config_spec_unknown():
         get_config_spec("Z")
 
 
-def test_new_letter_needs_only_one_registration():
+def test_new_letter_needs_only_one_registration(tmp_path):
     """The acceptance demonstration: registering a throwaway letter is
     the single edit needed for it to appear in the runner's sweep and
-    the registry-driven figures."""
+    the registry-driven figures — and every path simulates it with the
+    inputs its knobs ask for (here: perfect branch prediction)."""
+    from repro.core import simulate_trace
     from repro.experiments import ExperimentRunner
     from repro.experiments.figures import figure2
+    from repro.workloads import cached_trace
     register_config("X", "throwaway: A + perfect branches",
                     perfect_branches=True)
     try:
@@ -214,6 +217,18 @@ def test_new_letter_needs_only_one_registration():
         assert exhibit.headers[-1] == "X"
         for row in exhibit.rows:
             assert row[-1] > 0.0
+        expected = simulate_trace(cached_trace("compress", 0.02),
+                                  paper_config("X", 8)).to_payload()
+        assert expected["branch"]["mispredicted"] == []
+        for jobs in (1, 2):
+            cache_dir = tmp_path / ("jobs%d" % jobs)
+            for _pass in ("cold", "warm"):
+                runner = ExperimentRunner(
+                    scale=0.02, widths=(8,), names=("compress",),
+                    keep_schedules=True, jobs=jobs, cache_dir=cache_dir)
+                runner.prefetch(letters=("A", "X"))
+                result = runner.result("compress", "X", 8)
+                assert result.to_payload() == expected, (jobs, _pass)
     finally:
         unregister_config("X")
     assert "X" not in config_letters()

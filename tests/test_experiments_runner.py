@@ -14,11 +14,11 @@ def test_names_subset_restricts_suite():
 
 def test_predictor_passes_are_cached():
     runner = ExperimentRunner(scale=0.03, widths=(4,))
-    first = runner.branch("eqntott")
-    second = runner.branch("eqntott")
+    first = runner.inputs("eqntott").branch()
+    second = runner.inputs("eqntott").branch()
     assert first is second
-    assert runner.load_prediction("eqntott") is \
-        runner.load_prediction("eqntott")
+    assert runner.inputs("eqntott").loads() is \
+        runner.inputs("eqntott").loads()
 
 
 def test_results_use_requested_subset():
