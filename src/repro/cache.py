@@ -39,8 +39,8 @@ CACHE_FORMAT_VERSION = 1
 #: Subpackages whose source participates in the code fingerprint: exactly
 #: the ones a (trace, config) -> SimResult computation flows through.
 _FINGERPRINT_PACKAGES = ("isa", "asm", "emu", "trace", "bpred", "addrpred",
-                         "vpred", "collapse", "core", "workloads",
-                         "analysis", "lint")
+                         "vpred", "memdep", "collapse", "core",
+                         "workloads", "analysis", "lint")
 
 _code_fingerprint = None
 
