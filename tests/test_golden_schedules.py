@@ -15,7 +15,10 @@ hashes the full :meth:`SimResult.to_payload` (per-instruction
   like the default table at this scale, while this one aliases enough to
   change ``go`` at width 2048, so it pins that the geometry reaches the
   table;
-- a sanitized F/G/H/I/J run at width 8
+- configuration D under each collapse ablation rule set (pairs only,
+  consecutive only, within block only, no zero detection, distance <= 2):
+  these reach the legality branches the paper's own rules never take;
+- a sanitized D/F/G/H/I/J run at width 8
 
 at scale 0.01, and compares the digests against ``golden_schedules.json``
 next to this file.  Payloads do not depend on the compute kernel, so the
@@ -45,7 +48,7 @@ from repro.workloads import EXTRAS, SUITE
 SCALE = 0.01
 WIDTHS = (4, 8, 2048)
 NAMES = tuple(workload.name for workload in SUITE + EXTRAS)
-SANITIZED_LETTERS = ("F", "G", "H", "I", "J")
+SANITIZED_LETTERS = ("D", "F", "G", "H", "I", "J")
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "golden_schedules.json")
 
@@ -72,7 +75,17 @@ def _extension_configs(width):
             ("A+fetchbreak", paper_config("A", width,
                                           fetch_taken_break=True)),
             ("D+fetchbreak", paper_config("D", width,
-                                          fetch_taken_break=True)))
+                                          fetch_taken_break=True)),
+            ("D+pairs", paper_config("D", width,
+                                     rules=CollapseRules.pairs_only())),
+            ("D+consecutive", paper_config(
+                "D", width, rules=CollapseRules.consecutive_only())),
+            ("D+withinblock", paper_config(
+                "D", width, rules=CollapseRules.within_block_only())),
+            ("D+no0op", paper_config(
+                "D", width, rules=CollapseRules.no_zero_detection())),
+            ("D+dist2", paper_config(
+                "D", width, rules=CollapseRules(max_distance=2))))
 
 
 def workload_digests(name):

@@ -232,3 +232,34 @@ def test_collapse_does_not_change_instruction_count():
     collapsed = sim(trace, width=4, collapse=PAPER)
     assert collapsed.instructions == base.instructions
     assert collapsed.cycles <= base.cycles
+
+
+def diamond():
+    """Two producers of one consumer have both collapsed the same
+    earlier instruction: 0 -> {1, 2} -> 3."""
+    builder = TraceBuilder()
+    builder.add(dest=1, src1=9, imm=True)       # 0: shared root
+    builder.add(dest=2, src1=1, imm=True)       # 1 collapses 0
+    builder.add(dest=3, src1=1, imm=True)       # 2 collapses 0
+    builder.add(dest=4, src1=2, src2=3)         # 3 collapses 1 and 2
+    return builder.build()
+
+
+def test_diamond_merge_deduplicates_members_but_not_their_count():
+    """Merging 2's group {0, 2} into 3's group {0, 1, 3} counts 3 + 2 = 5
+    members for legality, while the merged group and the recorded
+    positions hold 0 only once: {0, 1, 2, 3}."""
+    rules = CollapseRules(max_group=5, max_leaves=8)
+    stats = sim(diamond(), width=4, collapse=rules).collapse
+    assert stats.events == 4
+    assert dict(stats.category_counts) == {"3-1": 2, "4-1": 2}
+    assert stats.instructions_collapsed == 4
+    assert dict(stats.pair_signatures) == {("arri", "arri"): 2}
+    assert dict(stats.triple_signatures) == {
+        ("arri", "arri", "arrr"): 1,
+        ("arri", "arri", "arri", "arrr"): 1}
+    # Four distinct members would fit max_group=4; five counted do not.
+    stats = sim(diamond(), width=4,
+                collapse=CollapseRules(max_group=4, max_leaves=8)).collapse
+    assert stats.events == 3
+    assert ("arri", "arri", "arri", "arrr") not in stats.triple_signatures
