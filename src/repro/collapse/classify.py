@@ -1,18 +1,16 @@
 """Expression groups and the collapse legality check.
 
-A :class:`Group` is a (possibly single-instruction) dependence expression:
-the set of trace positions merged so far, their signatures in program
-order, and two operand counts — ``leaves`` excluding zero operands and
-``raw_leaves`` including them.  The timing simulator keeps one Group per
-in-window instruction; collapsing merges the producer's group into the
-consumer's.
+:func:`merge_verdict` is the one legality rule (Section 3): the merged
+expression must fit the collapsing device — at most ``rules.max_group``
+members and ``rules.max_leaves`` operands, zero-free with zero-operand
+detection and raw without it.  The timing scheduler applies it to its own
+plain-tuple groups.
 
-The legality rule (Section 3): the merged expression must fit the
-collapsing device, i.e. have at most ``rules.max_leaves`` operands.  With
-zero-operand detection the zero-free count is checked; without it the raw
-count is.  When the raw count exceeds the limit but the zero-free count
-does not, the collapse is credited to the 0-op category because the zero
-detection *enabled* it.
+A :class:`Group` is a (possibly single-instruction) dependence expression
+for the dependence-graph analysis and the static collapse bound: the
+trace positions merged so far, their signatures in program order, and
+two operand counts — ``leaves`` excluding zero operands and
+``raw_leaves`` including them.
 """
 
 from .rules import CollapseRules
@@ -47,67 +45,55 @@ class Group:
     def try_merge(self, producer, uses, rules):
         """Attempt to merge ``producer`` into this group.
 
-        Returns the category string (``3-1``/``4-1``/``0-op``) when the
-        merge is legal and performed, or ``None`` when it is not.
-
-        The ``0-op`` category credits *enabled-by-zero-detection*
-        merges, not merely merges whose expression contains zeros: a
-        merge is 0-op exactly when it is legal under
-        ``rules.zero_detection`` but would have been rejected without it
-        — either ``raw_leaves`` (zeros included) exceeds
-        ``rules.max_leaves`` while the zero-free ``leaves`` fits, or the
-        member count needs the one-extra-instruction allowance
-        (``size == max_group + 1``, again justified only by zeros).  A
-        merge whose raw count already fits is credited ``3-1``/``4-1``
-        by its zero-free leaf count even when zeros are present, because
-        the same collapse happens on a device without zero detection.
+        Returns the :func:`merge_verdict` category when the merge is
+        legal and performed, or ``None`` when it is not.  The member
+        count handed to the verdict is the sum of both groups' sizes,
+        taken before members they share are de-duplicated.
         """
-        size = self.size + producer.size
         leaves, raw = self.merged_counts(producer, uses)
-        if size > rules.max_group:
-            # Section 3: "in some cases ... four dependent instructions can
-            # also be collapsed" — the case being zero-operand detection
-            # shrinking the expression to a legal size.  One extra member
-            # is allowed when zeros are present and the zero-free operand
-            # count fits the device.
-            if not (rules.zero_detection and size == rules.max_group + 1
-                    and raw > leaves and leaves <= rules.max_leaves):
-                return None
-            needed_zero_detection = True
-        elif rules.zero_detection:
-            if leaves > rules.max_leaves:
-                return None
-            needed_zero_detection = raw > rules.max_leaves
-        else:
-            if raw > rules.max_leaves:
-                return None
-            needed_zero_detection = False
+        category = merge_verdict(rules, self.size + producer.size, leaves,
+                                 raw)
+        if category is None:
+            return None
         # Perform the merge, keeping program order of members.
-        merged = {}
-        for position, sig in zip(self.positions, self.sigs):
-            merged[position] = sig
-        for position, sig in zip(producer.positions, producer.sigs):
-            merged[position] = sig
+        merged = dict(zip(self.positions, self.sigs))
+        merged.update(zip(producer.positions, producer.sigs))
         order = sorted(merged)
         self.positions = order
         self.sigs = [merged[position] for position in order]
         self.leaves = leaves
         self.raw_leaves = raw
-        if needed_zero_detection:
-            return CAT_0OP
-        if leaves <= 3:
-            return CAT_3_1
-        return CAT_4_1
+        return category
 
     def __repr__(self):
         return "Group(%s, leaves=%d)" % ("-".join(self.sigs), self.leaves)
 
 
-def merge_category(consumer_group, producer_group, uses, rules):
-    """Pure legality/category check without mutating either group."""
-    size = consumer_group.size + producer_group.size
-    leaves, raw = consumer_group.merged_counts(producer_group, uses)
+def merge_verdict(rules, size, leaves, raw):
+    """Legality and category of one merge under ``rules``.
+
+    ``size`` is the merged group's member count, counted before members
+    the two groups share are de-duplicated; ``leaves`` and ``raw`` are
+    its zero-free and raw operand counts.  Returns the category string
+    (``3-1``/``4-1``/``0-op``) of a legal merge, or ``None``.
+
+    The ``0-op`` category credits *enabled-by-zero-detection* merges,
+    not merely merges whose expression contains zeros: a merge is 0-op
+    exactly when it is legal under ``rules.zero_detection`` but would
+    have been rejected without it — either ``raw`` (zeros included)
+    exceeds ``rules.max_leaves`` while the zero-free ``leaves`` fits, or
+    the member count needs the one-extra-instruction allowance
+    (``size == max_group + 1``, again justified only by zeros).  A merge
+    whose raw count already fits is credited ``3-1``/``4-1`` by its
+    zero-free leaf count even when zeros are present, because the same
+    collapse happens on a device without zero detection.
+    """
     if size > rules.max_group:
+        # Section 3: "in some cases ... four dependent instructions can
+        # also be collapsed" — the case being zero-operand detection
+        # shrinking the expression to a legal size.  One extra member is
+        # allowed when zeros are present and the zero-free operand count
+        # fits the device.
         if (rules.zero_detection and size == rules.max_group + 1
                 and raw > leaves and leaves <= rules.max_leaves):
             return CAT_0OP
@@ -117,11 +103,17 @@ def merge_category(consumer_group, producer_group, uses, rules):
             return None
         if raw > rules.max_leaves:
             return CAT_0OP
-    else:
-        if raw > rules.max_leaves:
-            return None
+    elif raw > rules.max_leaves:
+        return None
     return CAT_3_1 if leaves <= 3 else CAT_4_1
 
 
-__all__ = ["Group", "merge_category", "CollapseRules",
+def merge_category(consumer_group, producer_group, uses, rules):
+    """Pure legality/category check without mutating either group."""
+    leaves, raw = consumer_group.merged_counts(producer_group, uses)
+    return merge_verdict(rules, consumer_group.size + producer_group.size,
+                         leaves, raw)
+
+
+__all__ = ["Group", "merge_category", "merge_verdict", "CollapseRules",
            "CAT_0OP", "CAT_3_1", "CAT_4_1"]

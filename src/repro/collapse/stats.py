@@ -9,8 +9,10 @@ expression.  The category accounting follows Section 5.3:
   legal (the raw operand count exceeded the limit, the zero-free count did
   not).
 
-Pair signatures (Table 5) are recorded when an event produces a 2-wide
-group; triple signatures (Table 6) when it produces a 3-wide group.
+Pair signatures (Table 5) are recorded when an event produces a 2-member
+group; triple signatures (Table 6) when it produces a group of 3 or more
+members, so the 4-member groups the zero-operand allowance admits are
+tallied with the triples.
 Distances (Figure 10) are dynamic-instruction distances between the
 producer and the consumer of each event.  The "instructions collapsed"
 measure (Figure 8) counts distinct dynamic instructions participating in
@@ -53,7 +55,11 @@ def _ranked(signatures, count):
 
 
 class CollapseStats:
-    """Mutable collector; the scheduler calls :meth:`record_event`."""
+    """Mutable collector of collapse events.
+
+    :meth:`record_event` records one event; the timing scheduler
+    increments the same counters directly in its hot path.
+    """
 
     __slots__ = ("events", "category_counts", "pair_signatures",
                  "triple_signatures", "collapsed_positions",
@@ -81,7 +87,8 @@ class CollapseStats:
         category: one of CAT_3_1 / CAT_4_1 / CAT_0OP
         distance: dynamic distance between the merged producer and consumer
         chain_sigs: tuple of signature strings for the *resulting* group,
-            in program order
+            in program order; a 2-member group is a pair signature, any
+            larger one a triple signature
         positions: trace positions of all group members
         """
         self.events += 1
@@ -140,7 +147,8 @@ class CollapseStats:
         return _ranked(self.pair_signatures, count)
 
     def top_triples(self, count=13):
-        """Table 6: most frequent triple signatures as (sigs, fraction)."""
+        """Table 6: most frequent signatures of groups with 3 or more
+        members as (sigs, fraction)."""
         return _ranked(self.triple_signatures, count)
 
     def to_payload(self):

@@ -42,7 +42,7 @@ configuration tractable in pure Python.
 import heapq
 from types import SimpleNamespace
 
-from ..collapse.classify import Group
+from ..collapse.classify import merge_verdict
 from ..collapse.stats import CollapseStats
 from ..memdep import FLUSH_PENALTY
 from ..trace.records import BRC, CTI, LD, ST
@@ -168,6 +168,18 @@ class WindowScheduler:
         collapsing = rules is not None
         collapse_stats = CollapseStats()
         load_stats = LoadStats()
+        if collapsing:
+            # Consecutive-only is a reach of one; the merge verdict of a
+            # (size, leaves, raw) triple is memoised for the run.
+            reach = 1 if not rules.allow_nonconsecutive \
+                else rules.max_distance or n
+            cross_block = rules.allow_cross_block
+            verdicts = {}
+            category_counts = collapse_stats.category_counts
+            distance_counts = collapse_stats.distance_counts
+            pair_signatures = collapse_stats.pair_signatures
+            triple_signatures = collapse_stats.triple_signatures
+            collapsed_add = collapse_stats.collapsed_positions.update
 
         node_elim = collapsing and config.node_elimination
         sole_reader = compute_sole_readers(trace) if node_elim else None
@@ -187,7 +199,7 @@ class WindowScheduler:
         bound_addr = {}         # pos -> max completion over resolved deps
         bound_other = {}
         consumers = {}          # producer pos -> list of (consumer, kind)
-        groups = {}             # pos -> collapse Group (while in window)
+        groups = {}             # pos -> (members, leaves, raw_leaves)
         block_of = {}           # pos -> dynamic basic-block id
 
         reg_writer = [-1] * 33  # 32 registers + condition codes (index 32)
@@ -316,8 +328,13 @@ class WindowScheduler:
             b_other = 0
             pending = []        # (producer, kind) arcs kept as dependences
             elim_candidates = []
-            group = Group(i, sig_col[s], leaves_col[s], zeros_col[s]) \
-                if collapsing else None
+            if collapsing:
+                # This instruction's collapse group: its members' trace
+                # positions in program order and the expression's
+                # zero-free and raw operand counts.
+                members = (i,)
+                leaves = leaves_col[s]
+                raw = leaves + zeros_col[s]
 
             for p, kind, arc_collapsible, uses in arcs:
                 if arc_hook is not None and arc_hook(i, p, kind, now):
@@ -335,34 +352,44 @@ class WindowScheduler:
                 merged = False
                 if collapsing and arc_collapsible and producer_ok_col[sidx[p]]:
                     distance = i - p
-                    legal = True
-                    if not rules.allow_nonconsecutive and distance != 1:
-                        legal = False
-                    if legal and rules.max_distance is not None \
-                            and distance > rules.max_distance:
-                        legal = False
-                    if legal and not rules.allow_cross_block \
-                            and block_of.get(p) != block_counter:
-                        legal = False
-                    if legal and unverified is not None \
-                            and p in unverified:
-                        # Never fold into a producer that is itself
-                        # riding an unverified value: the merged group
-                        # would inherit its optimistic bounds without
-                        # inheriting its squash obligation.
-                        legal = False
-                    if legal:
-                        # (a squashed producer left the group table at
-                        # its first issue and can no longer merge)
-                        pgroup = groups.get(p)
-                        category = group.try_merge(pgroup, uses, rules) \
-                            if pgroup is not None else None
+                    # (a squashed producer left the group table at its
+                    # first issue and can no longer merge; one riding an
+                    # unverified value must not either: the merged group
+                    # would inherit its optimistic bounds without
+                    # inheriting its squash obligation)
+                    pgroup = groups.get(p)
+                    if pgroup is not None and distance <= reach and (
+                            cross_block or block_of[p] == block_counter) \
+                            and (unverified is None or p not in unverified):
+                        p_members, p_leaves, p_raw = pgroup
+                        key = (len(members) + len(p_members),
+                               leaves - uses + uses * p_leaves,
+                               raw - uses + uses * p_raw)
+                        try:
+                            category = verdicts[key]
+                        except KeyError:
+                            category = verdicts[key] = merge_verdict(
+                                rules, *key)
                         if category is not None:
+                            _, leaves, raw = key
+                            if len(members) == 1:
+                                # p's members all precede i
+                                members = p_members + members
+                            else:
+                                members = tuple(sorted(
+                                    set(members).union(p_members)))
                             if san is not None:
-                                san.on_collapse(i, p, kind, group)
-                            collapse_stats.record_event(
-                                category, distance, tuple(group.sigs),
-                                tuple(group.positions))
+                                san.on_collapse(i, p, kind, *key)
+                            collapse_stats.events += 1
+                            category_counts[category] += 1
+                            distance_counts[distance] += 1
+                            collapsed_add(members)
+                            if len(members) == 2:
+                                pair_signatures[(sig_col[sidx[p]],
+                                                 sig_col[s])] += 1
+                            else:
+                                triple_signatures[tuple(
+                                    sig_col[sidx[m]] for m in members)] += 1
                             # Inherit the producer's unresolved state.
                             pb = bound_other.get(p, 0)
                             if kind == _KIND_ADDR:
@@ -462,7 +489,7 @@ class WindowScheduler:
                     heappush(future_heap, (ready_at, i))
 
             if collapsing:
-                groups[i] = group
+                groups[i] = (members, leaves, raw)
                 block_of[i] = block_counter
 
             # ---- architectural update (program order)

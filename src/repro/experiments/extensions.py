@@ -18,7 +18,6 @@ from ..metrics.means import harmonic_mean, mean_ipc, mean_speedup
 from .exhibit import Exhibit, register_exhibit
 
 _VARIANTS = (
-    ("D", False, False),
     ("D+elim", True, False),
     ("D+vspec", False, True),
     ("D+both", True, True),
@@ -35,23 +34,24 @@ def extension_figure(runner):
     """Harmonic-mean speedup over A of D and its extensions, plus E.
     The value variants speculate on the last-value pass, which the
     runner computes only on a disk-cache miss."""
-    headers = ["width"] + [label for label, _, _ in _VARIANTS] + ["E"]
+    headers = (["width", "D"] + [label for label, _, _ in _VARIANTS]
+               + ["E"])
     rows = []
     for width in runner.widths:
         row = [WIDTH_LABELS.get(width, str(width))]
         baselines = {name: runner.result(name, "A", width)
                      for name in runner.names}
+
+        def speedups(result_of):
+            return harmonic_mean([result_of(name)
+                                  .speedup_over(baselines[name])
+                                  for name in runner.names])
+
+        row.append(speedups(lambda name: runner.result(name, "D", width)))
         for label, elim, vspec in _VARIANTS:
             config = _variant_config(width, elim, vspec)
-            ratios = []
-            for name in runner.names:
-                result = runner.simulate(name, config)
-                ratios.append(result.speedup_over(baselines[name]))
-            row.append(harmonic_mean(ratios))
-        e_ratios = [runner.result(name, "E", width)
-                    .speedup_over(baselines[name])
-                    for name in runner.names]
-        row.append(harmonic_mean(e_ratios))
+            row.append(speedups(lambda name: runner.simulate(name, config)))
+        row.append(speedups(lambda name: runner.result(name, "E", width)))
         rows.append(row)
     return Exhibit(
         "Extension", "Node elimination and value speculation on top of D",
@@ -173,23 +173,23 @@ def predictor_comparison(runner, width=16):
     """The paper's future-work question: better load-address predictors.
 
     Configuration D speedup over A per workload, with the load table
-    swapped between the paper's two-delta, a Markov correlation table, a
-    two-delta+Markov hybrid, and the ideal predictor (configuration E's
-    bound).
+    swapped between the paper's two-delta (configuration D itself), a
+    Markov correlation table, a two-delta+Markov hybrid, and the ideal
+    predictor (configuration E's bound).
     """
-    from ..addrpred import HybridTable, MarkovTable, TwoDeltaTable
+    from ..addrpred import HybridTable, MarkovTable
     from ..addrpred.runner import run_address_predictor
-    tables = (("two-delta", TwoDeltaTable),
-              ("markov", MarkovTable),
+    tables = (("markov", MarkovTable),
               ("hybrid", HybridTable))
-    headers = (["workload"] + [label for label, _ in tables]
+    headers = (["workload", "two-delta"] + [label for label, _ in tables]
                + ["ideal (E)"])
     rows = []
     config = MachineConfig(width, collapse_rules=CollapseRules.paper(),
                            load_spec=LOAD_SPEC_REAL)
     for name in runner.names:
         baseline = runner.result(name, "A", width)
-        row = [name]
+        row = [name, runner.result(name, "D", width)
+               .speedup_over(baseline)]
         for label, factory in tables:
             result = runner.simulate(
                 name, config, extra_key={"addrpred": label},

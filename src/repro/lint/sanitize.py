@@ -67,6 +67,32 @@ class SanitizeError(ReproError):
     """Raised when a sanitized run violates a model invariant."""
 
 
+def group_violation(rules, size, leaves, raw_leaves):
+    """What is wrong with a merged group of ``size`` members and
+    ``leaves``/``raw_leaves`` operands under ``rules``, or ``None``.
+
+    Written from the device limits, independently of the scheduler's
+    :func:`~repro.collapse.classify.merge_verdict`."""
+    limit = rules.max_group
+    if rules.zero_detection:
+        if size > limit + 1:
+            return "has %d members (max %d, +1 with zero detection)" \
+                % (size, limit)
+        if size > limit and not (raw_leaves > leaves
+                                 and leaves <= rules.max_leaves):
+            return "is oversized and not justified by zero detection"
+        if leaves > rules.max_leaves:
+            return "has %d operands (max_leaves %d)" \
+                % (leaves, rules.max_leaves)
+    else:
+        if size > limit:
+            return "has %d members (max %d)" % (size, limit)
+        if raw_leaves > rules.max_leaves:
+            return "has %d raw operands (max_leaves %d, no zero " \
+                "detection)" % (raw_leaves, rules.max_leaves)
+    return None
+
+
 class SchedulerSanitizer:
     """Invariant checker attached to one scheduler run."""
 
@@ -227,9 +253,12 @@ class SchedulerSanitizer:
             self._fence_pos = i
             self._fence_issue = None
 
-    def on_collapse(self, i, p, kind, group):
+    def on_collapse(self, i, p, kind, size, leaves, raw_leaves):
         """The scheduler merged producer ``p`` into consumer ``i``'s
-        dependence expression; ``i`` inherits ``p``'s own producers."""
+        dependence expression; ``i`` inherits ``p``'s own producers.
+        The merged group has ``size`` members (counted before shared
+        members are de-duplicated, as legality counts them) and
+        ``leaves``/``raw_leaves`` zero-free/raw operands."""
         self.checked_merges += 1
         rules = self.config.collapse_rules
         arc = (p, kind)
@@ -248,33 +277,9 @@ class SchedulerSanitizer:
         if rules is None:
             self._violate("collapse event with collapsing disabled")
             return
-        size = group.size
-        limit = rules.max_group
-        if rules.zero_detection:
-            if size > limit + 1:
-                self._violate(
-                    "merged group at %d has %d members (max %d, +1 with "
-                    "zero detection)" % (i, size, limit))
-            elif size > limit and not (group.raw_leaves > group.leaves
-                                       and group.leaves
-                                       <= rules.max_leaves):
-                self._violate(
-                    "oversized group at %d not justified by zero "
-                    "detection" % (i,))
-            if group.leaves > rules.max_leaves:
-                self._violate(
-                    "merged group at %d has %d operands (max_leaves %d)"
-                    % (i, group.leaves, rules.max_leaves))
-        else:
-            if size > limit:
-                self._violate(
-                    "merged group at %d has %d members (max %d)"
-                    % (i, size, limit))
-            if group.raw_leaves > rules.max_leaves:
-                self._violate(
-                    "merged group at %d has %d raw operands "
-                    "(max_leaves %d, no zero detection)"
-                    % (i, group.raw_leaves, rules.max_leaves))
+        problem = group_violation(rules, size, leaves, raw_leaves)
+        if problem is not None:
+            self._violate("merged group at %d %s" % (i, problem))
 
     def on_load_spec(self, i):
         """Load ``i`` uses a (correct or ideal) predicted address: its

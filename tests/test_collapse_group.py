@@ -9,8 +9,10 @@ from repro.collapse import (
     CollapseRules,
     Group,
     merge_category,
+    merge_verdict,
 )
 from repro.errors import ConfigError
+from repro.lint.sanitize import group_violation
 
 RULES = CollapseRules.paper()
 
@@ -175,6 +177,46 @@ def test_sigs_kept_in_program_order():
     c.try_merge(b, 1, RULES)
     assert c.sigs == ["arri", "shri", "ldrr"]
     assert c.positions == [2, 5, 9]
+
+
+PRESETS = (CollapseRules.paper(), CollapseRules.pairs_only(),
+           CollapseRules.consecutive_only(),
+           CollapseRules.within_block_only(),
+           CollapseRules.no_zero_detection(), CollapseRules(max_distance=2))
+RULE_SETS = PRESETS + tuple(
+    CollapseRules(**dict(rules.fingerprint(), zero_detection=False))
+    for rules in PRESETS)
+
+
+def sized(size, leaves, raw):
+    """A group of ``size`` members with the given operand counts."""
+    made = Group(size, "arrr", leaves, raw - leaves)
+    made.positions = list(range(1, size + 1))
+    made.sigs = ["arrr"] * size
+    return made
+
+
+@pytest.mark.parametrize("rules", RULE_SETS, ids=repr)
+def test_merge_verdict_agrees_with_sanitizer_predicate(rules):
+    """The one legality rule accepts exactly the merged groups the
+    sanitizer's independently written device limits accept, and both
+    Group paths delegate to it."""
+    for size in range(2, 6):
+        for leaves in range(10):
+            for raw in range(10):
+                verdict = merge_verdict(rules, size, leaves, raw)
+                problem = group_violation(rules, size, leaves, raw)
+                assert (verdict is None) == (problem is not None), \
+                    (size, leaves, raw, verdict, problem)
+                for uses in (1, 2):
+                    consumer = sized(1, 2, 3)       # one zero operand
+                    producer = sized(size - 1, leaves, raw)
+                    expected = merge_verdict(
+                        rules, size, *consumer.merged_counts(producer, uses))
+                    assert merge_category(consumer, producer, uses,
+                                          rules) == expected
+                    assert consumer.try_merge(producer, uses,
+                                              rules) == expected
 
 
 def test_rules_validation():
