@@ -17,8 +17,7 @@ from repro.bpred import (
     StaticPredictor,
     run_branch_predictor,
 )
-from repro.collapse import CollapseRules
-from repro.core import MachineConfig
+from repro.core import paper_config
 from repro.core.scheduler import WindowScheduler
 from repro.core.simulator import load_outcomes
 from repro.metrics import arithmetic_mean, harmonic_mean, render_table
@@ -43,9 +42,8 @@ def prepared():
 
 
 def test_branch_predictor_quality_ablation(benchmark, prepared):
-    config_d = MachineConfig(WIDTH, collapse_rules=CollapseRules.paper(),
-                             load_spec="real")
-    config_a = MachineConfig(WIDTH)
+    config_d = paper_config("D", WIDTH)
+    config_a = paper_config("A", WIDTH)
 
     def sweep():
         rows = []

@@ -27,11 +27,6 @@ from .cache import DiskCache
 from .collapse import CollapseRules
 from .core import (
     MachineConfig,
-    config_a,
-    config_b,
-    config_c,
-    config_d,
-    config_e,
     paper_config,
     simulate_many,
     simulate_trace,
@@ -51,7 +46,6 @@ __version__ = "1.0.0"
 __all__ = [
     "CollapseRules",
     "MachineConfig",
-    "config_a", "config_b", "config_c", "config_d", "config_e",
     "paper_config", "simulate_many", "simulate_trace",
     "AssemblyError", "ConfigError", "EmulationError", "ReproError",
     "TraceFormatError",

@@ -28,25 +28,10 @@ lint TARGET...
     Static dataflow analysis (docs/LINT.md) of workload kernels or
     ``.s`` files: uninitialized reads, dead register writes, unreachable
     code, missing condition-code setters, fallthrough past ``.text``,
-    untracked load addresses.  Exits non-zero when any finding is
-    reported.  ``--cross-check`` additionally simulates each workload
-    target and verifies the static collapse upper bound against the
-    dynamic collapse count.  ``--addr`` prints the per-load address
-    classification (loop/induction-variable pass, docs/LINT.md);
-    ``--addr-check`` runs the two-delta predictor with per-PC
-    histograms over each workload target and verifies the static
-    classification: predictable sites must satisfy the re-lock miss
-    bound and their delta-change budget, and the static coverage bound
-    must dominate the dynamic predictor coverage.  ``--memdep`` prints
-    the per-reference may-alias table; ``--memdep-check`` verifies the
-    static conflict set against the trace's store->load dependences
-    and an MDPT (config F) simulation.  ``--dae`` prints the per-loop
-    access/execute slice table (clean / chase-poisoned / skipped,
-    access fraction, queue depth bound); ``--dae-check`` simulates
-    configuration H with the static decoupling plan and verifies that
-    statically-clean loops never incur a dynamic chase dependence and
-    that peak queue occupancy stays within the static depth bound
-    (exit 2 on violation).
+    untracked load addresses.  Each registered lint pass adds a table
+    flag (e.g. ``--addr``) and a check flag proving it against a
+    registered workload (e.g. ``--addr-check``); ``--list`` shows them.
+    Exits 1 on error findings and 2 on a check violation.
 
 ``simulate`` and ``report`` accept ``--sanitize`` to attach the
 scheduler invariant checker to every simulation they perform.
@@ -257,177 +242,11 @@ def cmd_report(args):
     return 0
 
 
-def _lint_cross_check(name, report, scale):
-    """Simulate the workload and verify the static collapse bound."""
-    inputs = CellInputs.workload(name, scale)
-    result = inputs.simulate(paper_config("C", 8), sanitize=True)
-    bound = report.collapse_bound.bound_for_trace(inputs.trace)
-    ok = bound >= result.collapse.events
-    print("  cross-check %s: static bound %d %s dynamic events %d "
-          "(C/8, sanitized)"
-          % (name, bound, ">=" if ok else "<", result.collapse.events))
-    return ok
-
-
-def _lint_addr_check(name, report, scale):
-    """Run the per-PC predictor and verify the address classification."""
-    from .addrpred import run_address_predictor
-    from .lint import cross_check
-    trace = CellInputs.workload(name, scale).trace
-    result = run_address_predictor(trace, per_pc=True)
-    check = cross_check(report.addr_classes, trace, result)
-    print("  addr-check %s: %s — %d sites checked (%d aliased, %d "
-          "short), coverage bound %.3f %s dynamic %.3f, steady "
-          "accuracy %.3f"
-          % (name, "ok" if check.ok else "FAILED", check.checked_sites,
-             check.skipped_aliased, check.skipped_short,
-             check.coverage_bound,
-             ">=" if check.coverage_bound >= check.dynamic_coverage
-             else "<", check.dynamic_coverage, check.steady_accuracy))
-    for violation in check.violations:
-        print("    " + violation)
-    return check.ok
-
-
-def _lint_memdep_check(name, report, scale):
-    """Replay the trace's store->load dependences and an MDPT (config
-    F) simulation against the static may-alias conflict set."""
-    from .lint import memdep_cross_check
-    inputs = CellInputs.workload(name, scale)
-    result = inputs.simulate(paper_config("F", 8), sanitize=True)
-    check = memdep_cross_check(report.memdep_bound, inputs.trace, result)
-    memdep = result.memdep
-    print("  memdep-check %s: %s — static conflict pairs %d %s "
-          "distinct dynamic pairs %d (%d MDPT-learned, %d violations, "
-          "F/8, sanitized)"
-          % (name, "ok" if check.ok else "FAILED", check.static_pairs,
-             ">=" if check.static_pairs >= check.dynamic_pairs else "<",
-             check.dynamic_pairs, check.mdpt_pairs,
-             memdep.violations if memdep is not None else 0))
-    for violation in check.violations:
-        print("    " + violation)
-    return check.ok
-
-
-def _lint_recur_check(name, report, scale, widest=2048):
-    """Verify the static recurrence bounds against the dynamic
-    dependence graphs and the simulated machines (soundness chain:
-    static <= dynamic growth, static IPC bound >= dataflow IPC >=
-    simulated IPC at the widest machine)."""
-    from .lint import recurrence_cross_check
-    from .lint.recurrence import VARIANTS
-    trace = CellInputs.workload(name, scale).trace
-    check = recurrence_cross_check(report.recurrence, trace,
-                                   widest=widest)
-    print("  recur-check %s: %s — %d loops, %d runs checked "
-          "(width %d)"
-          % (name, "ok" if check.ok else "FAILED",
-             check.loops_checked, check.runs_checked, check.widest))
-    from .lint.ipcbound import SIM_LETTERS
-    graph_keys = {"A": "A", "C": "C", "E": "E_ideal", "V": "V"}
-    for variant in VARIANTS:
-        bound = check.static_bound[variant]
-        line = ("    %s: static floor %d cycles, bound %s IPC >= "
-                "dataflow %.2f IPC"
-                % (variant, check.static_floor[variant],
-                   "%.2f" % bound if bound is not None else "inf",
-                   check.ipc[variant]))
-        sim = check.sim.get(variant)
-        if sim is not None:
-            key = graph_keys[variant]
-            if key != variant:
-                line += "; ideal-cut %.2f IPC" % (check.ipc[key],)
-            line += (" >= simulated %s %.2f IPC"
-                     % (SIM_LETTERS[variant], sim))
-        print(line)
-    for violation in check.violations:
-        print("    " + violation)
-    return check.ok
-
-
-def _lint_value_check(name, report, scale, widest=2048):
-    """Verify the static value classification against the per-PC
-    stride-predictor histograms and the variant-V soundness chain
-    (static ceiling >= graph-V dataflow IPC >= simulated config I)."""
-    from .lint import valueflow_cross_check
-    trace = CellInputs.workload(name, scale).trace
-    check = valueflow_cross_check(report.valueflow, trace,
-                                  recurrence=report.recurrence,
-                                  widest=widest)
-    print("  value-check %s: %s — %d predictable load sites checked "
-          "(%d aliased, %d short skipped), coverage bound %.3f >= "
-          "dynamic %.3f, steady accuracy %.3f"
-          % (name, "ok" if check.ok else "FAILED", check.checked_sites,
-             check.skipped_aliased, check.skipped_short,
-             check.coverage_bound, check.dynamic_coverage,
-             check.steady_accuracy))
-    if check.sim_ipc is not None:
-        bound = ("%.2f" % check.static_bound
-                 if check.static_bound is not None else "inf")
-        print("    V: static ceiling %s IPC >= graph-V %.2f IPC >= "
-              "simulated I %.2f IPC (width %d, %d runs)"
-              % (bound, check.graph_ipc, check.sim_ipc, check.widest,
-                 check.runs_checked))
-    for violation in check.violations:
-        print("    " + violation)
-    return check.ok
-
-
-def _lint_dae_check(name, report, scale):
-    """Simulate configuration H with the static decoupling plan and
-    verify the slice <-> occupancy invariants."""
-    from .lint import dae_cross_check
-    inputs = CellInputs.workload(name, scale)
-    result = inputs.simulate(paper_config("H", 8), sanitize=True)
-    check = dae_cross_check(report.dae, inputs.trace, result)
-    print("  dae-check %s: %s — %d loops (%d clean, %d queued, %d "
-          "chase-poisoned, %d skipped), peak queue %d, %d enqueued / "
-          "%d popped, %d chase deps on coupled loops (H/8, sanitized)"
-          % (name, "ok" if check.ok else "FAILED", check.loops_checked,
-             check.clean_loops, check.queued_loops,
-             check.poisoned_loops, check.skipped_loops, check.peak,
-             check.enqueued, check.popped, check.chase_deps))
-    for violation in check.violations:
-        print("    " + violation)
-    return check.ok
-
-
-def _lint_branch_check(name, report, scale, widest=2048):
-    """Verify the static branch classification against per-PC combining
-    histograms and the config-J soundness chain (static ceiling >=
-    measured accuracy >= early-resolution coverage)."""
-    from .lint import branchflow_cross_check
-    trace = CellInputs.workload(name, scale).trace
-    check = branchflow_cross_check(report.branchflow, trace,
-                                   widest=widest)
-    print("  branch-check %s: %s — %d sites, %d trip floors checked, "
-          "coverage bound %.3f %s confident %.3f, ceiling %.4f %s "
-          "accuracy %.4f"
-          % (name, "ok" if check.ok else "FAILED", check.sites,
-             check.floors_checked, check.coverage_bound,
-             ">=" if check.coverage_bound >= check.confident_coverage
-             else "<", check.confident_coverage, check.ceiling,
-             ">=" if check.ceiling >= check.accuracy else "<",
-             check.accuracy))
-    if check.early_coverage is not None:
-        sim_i = check.sim.get("I")
-        sim_j = check.sim.get("J")
-        print("    J: %d plan branches, early coverage %.4f <= accuracy"
-              "; cycles J %d <= I %d (width %d, fetch floor %d)"
-              % (check.plan_branches, check.early_coverage,
-                 sim_j.cycles if sim_j is not None else -1,
-                 sim_i.cycles if sim_i is not None else -1,
-                 widest, check.floor))
-    for violation in check.violations:
-        print("    " + violation)
-    return check.ok
-
-
 def _lint_list():
     """Render the registered lint-pass table (``repro lint --list``)."""
     from .lint import lint_passes
     rows = [[p.order, p.name, p.title,
-             " ".join(p.flags) if p.flags else "-"]
+             " ".join(option.flag for option in p.options) or "-"]
             for p in lint_passes()]
     print(render_table(["order", "pass", "title", "flags"], rows,
                        title="registered lint passes"))
@@ -435,7 +254,7 @@ def _lint_list():
 
 
 def cmd_lint(args):
-    from .lint import lint_path, lint_workload
+    from .lint import lint_passes, lint_path, lint_workload
 
     if args.list_passes:
         return _lint_list()
@@ -447,125 +266,29 @@ def cmd_lint(args):
         print("repro lint: no targets (give workload names, .s files, "
               "or --all)", file=sys.stderr)
         return 2
+    tables = [p.table for p in lint_passes()
+              if p.table is not None and getattr(args, p.table.dest)]
+    checks = [p.check for p in lint_passes()
+              if p.check is not None and getattr(args, p.check.dest)]
     failed = False
     violated = False
     for target in targets:
-        if target in WORKLOADS:
-            report = lint_workload(target, scale=args.scale)
-            name = target
-        else:
-            report = lint_path(target)
-            name = None
+        workload = target in WORKLOADS
+        report = lint_workload(target, scale=args.scale) if workload \
+            else lint_path(target)
         print(report.render())
         if not report.ok:
             failed = True
-        if args.bounds and report.collapse_bound is not None:
-            rows = report.collapse_bound.summary_rows()
-            if rows:
-                print(render_table(
-                    ["index", "line", "signature", "arcs", "bound"],
-                    [list(row) for row in rows],
-                    title="static collapse opportunities: %s"
-                          % (report.target,)))
-            print("  static per-execution bound: %d collapse events"
-                  % (report.collapse_bound.static_bound,))
-        if args.addr and report.addr_classes is not None:
-            rows = report.addr_classes.summary_rows()
-            if rows:
-                print(render_table(
-                    ["index", "line", "class", "stride", "loop line",
-                     "depth"],
-                    [list(row) for row in rows],
-                    title="load address classes: %s" % (report.target,)))
-            counts = report.addr_classes.class_counts()
-            print("  address classes: " + "  ".join(
-                "%s %d" % (cls, n) for cls, n in counts.items() if n))
-        if args.memdep and report.memdep_bound is not None:
-            rows = report.memdep_bound.summary_rows()
-            if rows:
-                print(render_table(
-                    ["index", "line", "kind", "anchor", "mod", "lo",
-                     "hi", "conflicts"],
-                    [list(row) for row in rows],
-                    title="memory references and may-alias conflicts: "
-                          "%s" % (report.target,)))
-            print("  conflict pairs: %d of %d load x store"
-                  % (report.memdep_bound.conflict_count,
-                     report.memdep_bound.pair_count))
-        if args.dae and report.dae is not None:
-            rows = report.dae.summary_rows()
-            if rows:
-                print(render_table(
-                    ["line", "body", "loads", "verdict", "access",
-                     "frac", "boundary", "recMII acc", "recMII body",
-                     "depth", "note"],
-                    [list(row) for row in rows],
-                    title="access/execute loop slices: %s"
-                          % (report.target,)))
-            else:
-                print("  no innermost reducible loops to slice")
-        if args.value and report.valueflow is not None:
-            rows = report.valueflow.summary_rows()
-            if rows:
-                print(render_table(
-                    ["index", "line", "class", "stride/k", "loop line",
-                     "depth"],
-                    [list(row) for row in rows],
-                    title="result-value classes: %s" % (report.target,)))
-            counts = report.valueflow.class_counts()
-            print("  value classes: " + "  ".join(
-                "%s %d" % (cls, n) for cls, n in counts.items() if n))
-        if args.branch and report.branchflow is not None:
-            rows = report.branchflow.summary_rows()
-            if rows:
-                print(render_table(
-                    ["index", "line", "class", "trip", "period",
-                     "exit", "load", "note"],
-                    [list(row) for row in rows],
-                    title="branch predictability classes: %s"
-                          % (report.target,)))
-            counts = report.branchflow.class_counts()
-            print("  branch classes: " + "  ".join(
-                "%s %d" % (cls, n) for cls, n in counts.items() if n))
-        if args.recur and report.recurrence is not None:
-            rows = report.recurrence.summary_rows()
-            if rows:
-                print(render_table(
-                    ["line", "body", "nodes", "cycles",
-                     "recMII A", "recMII C", "recMII E", "recMII V",
-                     "ceil A", "ceil C", "ceil E", "ceil V", "note"],
-                    [list(row) for row in rows],
-                    title="loop recurrence bounds: %s"
-                          % (report.target,)))
-            else:
-                print("  no innermost reducible loops to bound")
-        if args.cross_check and name is not None \
-                and report.collapse_bound is not None:
-            if not _lint_cross_check(name, report, args.scale):
-                failed = True
-        if args.addr_check and name is not None \
-                and report.addr_classes is not None:
-            if not _lint_addr_check(name, report, args.scale):
-                failed = True
-        if args.recur_check and name is not None \
-                and report.recurrence is not None:
-            if not _lint_recur_check(name, report, args.scale):
-                violated = True
-        if args.value_check and name is not None \
-                and report.valueflow is not None:
-            if not _lint_value_check(name, report, args.scale):
-                violated = True
-        if args.memdep_check and name is not None \
-                and report.memdep_bound is not None:
-            if not _lint_memdep_check(name, report, args.scale):
-                violated = True
-        if args.dae_check and name is not None \
-                and report.dae is not None:
-            if not _lint_dae_check(name, report, args.scale):
-                violated = True
-        if args.branch_check and name is not None \
-                and report.branchflow is not None:
-            if not _lint_branch_check(name, report, args.scale):
+        for table in tables:
+            for line in table.render(report):
+                print(line)
+        for check in checks if workload else ():
+            result = check.run(report, target, args.scale)
+            for line in result.lines:
+                print(line)
+            for violation in result.violations:
+                print("    " + violation)
+            if not result.ok:
                 violated = True
     if violated:
         return 2
@@ -654,72 +377,11 @@ def build_parser():
                         help="lint every registered workload")
     p_lint.add_argument("--scale", type=float, default=0.05,
                         help="scale for workload kernel generation")
-    p_lint.add_argument("--bounds", action="store_true",
-                        help="print the static collapse-opportunity "
-                             "table")
-    p_lint.add_argument("--cross-check", dest="cross_check",
-                        action="store_true",
-                        help="simulate workload targets and verify the "
-                             "static collapse bound >= dynamic events")
-    p_lint.add_argument("--addr", action="store_true",
-                        help="print the per-load address-class table "
-                             "(loop/induction-variable pass)")
-    p_lint.add_argument("--addr-check", dest="addr_check",
-                        action="store_true",
-                        help="run the two-delta predictor per PC on "
-                             "workload targets and verify the static "
-                             "address classification")
-    p_lint.add_argument("--recur", action="store_true",
-                        help="print the per-loop recurrence (recMII) "
-                             "table for the base / collapsed / "
-                             "d-speculated graph variants")
-    p_lint.add_argument("--recur-check", dest="recur_check",
-                        action="store_true",
-                        help="verify the static recurrence bounds "
-                             "against the trace dependence graphs and "
-                             "the simulated machines (exit 2 on "
-                             "violation)")
-    p_lint.add_argument("--value", action="store_true",
-                        help="print the per-instruction result-value "
-                             "class table (valueflow pass)")
-    p_lint.add_argument("--value-check", dest="value_check",
-                        action="store_true",
-                        help="run the stride value predictor per PC on "
-                             "workload targets and verify the static "
-                             "classification plus the variant-V chain "
-                             "static ceiling >= graph V >= simulated "
-                             "config I (exit 2 on violation)")
-    p_lint.add_argument("--memdep", action="store_true",
-                        help="print the per-reference may-alias table "
-                             "(bounded congruence address forms)")
-    p_lint.add_argument("--memdep-check", dest="memdep_check",
-                        action="store_true",
-                        help="verify the static may-alias conflict set "
-                             "against trace store->load dependences "
-                             "and an MDPT (config F) simulation (exit "
-                             "2 on violation)")
-    p_lint.add_argument("--dae", action="store_true",
-                        help="print the per-loop access/execute slice "
-                             "table (clean / chase-poisoned / skipped)")
-    p_lint.add_argument("--dae-check", dest="dae_check",
-                        action="store_true",
-                        help="simulate configuration H with the static "
-                             "decoupling plan and verify clean loops "
-                             "never chase plus queue occupancy within "
-                             "the static depth bound (exit 2 on "
-                             "violation)")
-    p_lint.add_argument("--branch", action="store_true",
-                        help="print the per-branch predictability "
-                             "table (trip / exit / invariant / "
-                             "periodic / history / load / straight / "
-                             "unknown)")
-    p_lint.add_argument("--branch-check", dest="branch_check",
-                        action="store_true",
-                        help="verify trip floors, class-capped "
-                             "coverage and the accuracy ceiling "
-                             "against per-PC combining histograms "
-                             "plus a config-J (load-driven exit-"
-                             "branch) simulation (exit 2 on violation)")
+    from .lint import lint_passes
+    for lint_pass in lint_passes():
+        for option in lint_pass.options:
+            p_lint.add_argument(option.flag, dest=option.dest,
+                                action="store_true", help=option.help)
     p_lint.add_argument("--list", dest="list_passes",
                         action="store_true",
                         help="print the registered lint-pass table "

@@ -50,6 +50,8 @@ from .recurrence import VARIANTS
 
 #: simulated machine letter per graph variant
 SIM_LETTERS = {"A": "A", "C": "C", "E": "E", "V": "I"}
+#: dynamic graph whose dataflow IPC bounds each variant's simulated IPC
+SIM_GRAPHS = {"A": "A", "C": "C", "E": "E_ideal", "V": "V"}
 
 _REL_TOL = 1e-9
 
@@ -237,8 +239,7 @@ def recurrence_cross_check(analysis, trace, sim_ipcs=None, widest=2048,
                     for variant, letter in SIM_LETTERS.items()}
     if sim_ipcs:
         check.sim = dict(sim_ipcs)
-        links = (("A", "A"), ("C", "C"), ("E", "E_ideal"), ("V", "V"))
-        for variant, graph_key in links:
+        for variant, graph_key in SIM_GRAPHS.items():
             sim = sim_ipcs.get(variant)
             if sim is None:
                 continue
@@ -280,5 +281,6 @@ def fetch_refined_ipc(instructions, cycles, mispredict_floor):
     return instructions / denominator
 
 
-__all__ = ["RecurrenceCheck", "SIM_LETTERS", "fetch_refined_ipc",
-           "recurrence_cross_check", "variant_depth_arrays"]
+__all__ = ["RecurrenceCheck", "SIM_GRAPHS", "SIM_LETTERS",
+           "fetch_refined_ipc", "recurrence_cross_check",
+           "variant_depth_arrays"]

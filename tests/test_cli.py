@@ -157,6 +157,17 @@ def test_lint_bounds_and_cross_check(capsys):
     assert ">= dynamic events" in output
 
 
+def test_lint_failed_cross_check_exits_2(capsys, monkeypatch):
+    from repro.lint import StaticCollapseBound
+    monkeypatch.setattr(StaticCollapseBound, "bound_for_trace",
+                        lambda self, trace: -1)
+    code, output = run_cli(capsys, "lint", "li", "--scale", "0.02",
+                           "--cross-check")
+    assert code == 2
+    assert "cross-check li: static bound -1 < dynamic events" in output
+    assert "    static collapse bound -1 < dynamic events" in output
+
+
 def test_simulate_sanitized(capsys):
     code, output = run_cli(capsys, "simulate", "li", "--config", "D",
                            "--width", "8", "--scale", "0.03",
