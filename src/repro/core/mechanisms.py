@@ -15,13 +15,11 @@ from heapq import heappush
 from ..memdep import FLUSH_PENALTY, MDPT, MemDepStats
 from ..memdep.mdpt import DEFAULT_ENTRIES, DEFAULT_STORE_SET
 from ..trace.records import BRC, LD, ST
+from .arcs import KIND_ADDR, KIND_OTHER
 from .branchspecstats import BranchSpecStats
 from .config import VALUE_SPEC_REPLAY
 from .daestats import DAEStats
 from .vspecstats import ValueSpecStats
-
-_KIND_ADDR = 0
-_KIND_OTHER = 1
 
 
 #: Seam names, in the order :func:`bind_seams` returns their hooks.  The
@@ -156,7 +154,9 @@ class MemoryOrder(Mechanism):
     def memory_arc(self, i, s, store, arcs, now):
         """The perfect memory arc is dropped: the load issues
         speculatively.  A promoted MDPT entry instead synchronizes it
-        with the youngest in-flight store of its predicted set."""
+        with the youngest in-flight store of its predicted set, appended
+        to ``arcs`` (a fresh list of the load's other arcs) in
+        ``repro.core.arcs`` form."""
         stats = self.stats
         stats.loads += 1
         self.true_store[i] = store
@@ -167,7 +167,7 @@ class MemoryOrder(Mechanism):
         if predicted:
             sync = self._youngest_inflight(predicted, now)
             if sync >= 0:
-                arcs.append((sync, _KIND_OTHER, False, 1))
+                arcs.append((i - sync, KIND_OTHER, False, 1, False))
                 stats.synchronized += 1
                 if sync != store:
                     stats.false_syncs += 1
@@ -194,7 +194,7 @@ class MemoryOrder(Mechanism):
         consumers = self.consumers
         rec = {p for p, _ in pending}
         for p, kind in self.resolved:
-            if addr_dropped and kind == _KIND_ADDR:
+            if addr_dropped and kind == KIND_ADDR:
                 continue
             rec.add(p)
             # An issued producer can still be squashed while it is
@@ -225,7 +225,7 @@ class MemoryOrder(Mechanism):
             pend_addr = self.pend_addr
             pend_other = self.pend_other
             for c, kind in plist:
-                wait = (pend_addr if kind == _KIND_ADDR
+                wait = (pend_addr if kind == KIND_ADDR
                         else pend_other).get(c)
                 if wait is not None and p in wait:
                     self._taint_from(c, p)
@@ -339,7 +339,7 @@ class MemoryOrder(Mechanism):
                 if c in member_set or c in eliminated \
                         or issue_cycle[c] >= 0:
                     continue
-                target = self.pend_addr if kind == _KIND_ADDR \
+                target = self.pend_addr if kind == KIND_ADDR \
                     else self.pend_other
                 wait = target.get(c)
                 if wait is None:
@@ -472,17 +472,17 @@ class ValueSpeculation(Mechanism):
                 # Never issued: the dropped arc re-materializes — fold
                 # the load's completion into the bound and let the
                 # consumer wait like any resolved arc.
-                if kind == _KIND_ADDR:
-                    if when > bound_addr.get(w, 0):
+                if kind == KIND_ADDR:
+                    if when > bound_addr[w]:
                         bound_addr[w] = when
-                elif when > bound_other.get(w, 0):
+                elif when > bound_other[w]:
                     bound_other[w] = when
                 if not wrong:
                     del vspec_wrong[w]
                     if w not in self.pend_addr \
                             and w not in self.pend_other:
-                        ba = bound_addr.get(w, 0)
-                        bo = bound_other.get(w, 0)
+                        ba = bound_addr[w]
+                        bo = bound_other[w]
                         heappush(self.future_heap,
                                  (ba if ba > bo else bo, w))
 
@@ -522,6 +522,7 @@ class DecoupledStreams(Mechanism):
         self.popper = {}        # entry pos -> execute consumer that pops
         self.pop_on_issue = {}  # consumer pos -> [entry positions]
         self.bypassed = set()   # positions occupying the access window
+        self.last_writer = [-1] * 32    # register -> last entered writer
         self.access_count = 0
         self.run_loop = -1      # header of the current dynamic loop run
         self.run_start = -1     # first position of the current run
@@ -568,13 +569,15 @@ class DecoupledStreams(Mechanism):
         if run_loop >= 0 and self.chase_of.get(s, -1) == run_loop:
             watched = self.body_loads[run_loop]
             stats = self.stats.loop(run_loop)
-            for p, _kind, _coll, _uses in arcs:
+            for distance, _kind, _coll, _uses, _same in arcs:
+                p = i - distance
                 if p >= self.run_start and self.sidx[p] in watched:
                     stats.chase_deps += 1
                     if self.issue_cycle[p] < 0 or self.completion[p] > now:
                         stats.chase_stalls += 1
         queue_of = self.queue_of
-        for p, _kind, _coll, _uses in arcs:
+        for distance, _kind, _coll, _uses, _same in arcs:
+            p = i - distance
             if p in queue_of and p not in self.delivered \
                     and p not in self.popper:
                 self.popper[p] = i
@@ -597,7 +600,8 @@ class DecoupledStreams(Mechanism):
         # queued value is dead — reclaim its slot.
         dest = self.dest_col[s]
         if dest >= 0:
-            old = self.reg_writer[dest]
+            old = self.last_writer[dest]
+            self.last_writer[dest] = i
             if old >= 0:
                 self.reclaim(old, now)
         header = self.boundary_of.get(s, -1)

@@ -45,7 +45,8 @@ from types import SimpleNamespace
 from ..collapse.classify import merge_verdict
 from ..collapse.stats import CollapseStats
 from ..memdep import FLUSH_PENALTY
-from ..trace.records import BRC, CTI, LD, ST
+from ..trace.records import BRC, CTI, LD
+from .arcs import KIND_ADDR, KIND_OTHER, arc_table
 from .config import LOAD_SPEC_IDEAL, LOAD_SPEC_REAL, MEM_SPEC_MDPT
 from .elimination import compute_sole_readers
 from .mechanisms import (
@@ -63,9 +64,6 @@ from .results import (
     LoadStats,
     SimResult,
 )
-
-_KIND_ADDR = 0
-_KIND_OTHER = 1
 
 
 class WindowScheduler:
@@ -137,23 +135,17 @@ class WindowScheduler:
         config = self.config
         static = trace.static
         n = len(trace)
+        # Every position's producer arcs, shared by all runs of the
+        # trace (repro.core.arcs).
+        arc_rows = arc_table(trace)
 
         # Static columns (localised for speed).
         sidx = trace.sidx
-        eff_addr = trace.eff_addr
         cls_col = static.cls
         lat_col = static.lat
-        dest_col = static.dest
-        src1_col = static.src1
-        src2_col = static.src2
-        datasrc_col = static.datasrc
-        writes_cc_col = static.writes_cc
-        reads_cc_col = static.reads_cc
         sig_col = static.sig
         leaves_col = static.leaves
         zeros_col = static.zeros
-        producer_ok_col = static.producer_ok
-        consumer_ok_col = static.consumer_ok
 
         mispredicted = self.branch_result.mispredicted if self.branch_result \
             else {}
@@ -168,6 +160,7 @@ class WindowScheduler:
         collapsing = rules is not None
         collapse_stats = CollapseStats()
         load_stats = LoadStats()
+        load_counts = load_stats.counts
         if collapsing:
             # Consecutive-only is a reach of one; the merge verdict of a
             # (size, leaves, raw) triple is memoised for the run.
@@ -196,14 +189,10 @@ class WindowScheduler:
         completion = [0] * n
         pend_addr = {}          # pos -> set of unissued producer positions
         pend_other = {}
-        bound_addr = {}         # pos -> max completion over resolved deps
-        bound_other = {}
+        bound_addr = [0] * n    # max completion over resolved deps; 0
+        bound_other = [0] * n   # outside the window
         consumers = {}          # producer pos -> list of (consumer, kind)
         groups = {}             # pos -> (members, leaves, raw_leaves)
-        block_of = {}           # pos -> dynamic basic-block id
-
-        reg_writer = [-1] * 33  # 32 registers + condition codes (index 32)
-        mem_writer = {}         # word address -> last store position
 
         ready_heap = []         # positions ready to issue now
         future_heap = []        # (cycle value becomes available, position)
@@ -215,7 +204,6 @@ class WindowScheduler:
         issued = 0
         block_fetch = False
         fence_pos = -1          # the mispredicted branch blocking fetch
-        block_counter = 0
         cycle = 0
         last_issue = 0
 
@@ -254,20 +242,21 @@ class WindowScheduler:
             if waits:
                 pend_other[p] = waits
                 for q in waits:
-                    consumers.setdefault(q, []).append((p, _KIND_OTHER))
+                    consumers.setdefault(q, []).append((p, KIND_OTHER))
             else:
                 pend_other.pop(p, None)
                 heappush(future_heap, (base, p))
 
         engine = SimpleNamespace(
             scheduler=self, sanitizer=san, sidx=sidx, cls_col=cls_col,
-            pc_col=static.pc, dest_col=dest_col, window_limit=window_limit,
+            pc_col=static.pc, dest_col=static.dest,
+            window_limit=window_limit,
             issue_cycle=issue_cycle, completion=completion,
             pend_addr=pend_addr, pend_other=pend_other,
             bound_addr=bound_addr, bound_other=bound_other,
-            consumers=consumers, reg_writer=reg_writer,
-            future_heap=future_heap, events=events, eliminated=eliminated,
-            replaying=replaying, squash=squash, replay=replay)
+            consumers=consumers, future_heap=future_heap, events=events,
+            eliminated=eliminated, replaying=replaying, squash=squash,
+            replay=replay)
         mechanisms = [mechanism(engine) for mechanism in self.mechanisms]
         # ``unverified``: positions issued on an unverified value, whose
         # completion is withheld from consumers (they count as pending)
@@ -277,52 +266,26 @@ class WindowScheduler:
         if outstanding is None:
             outstanding = ()
         revalidate = fire is not None
+        edit_arcs = memory_arc is not None or gathered is not None
 
         # --------------------------------------------------------------
         def enter(i, now):
-            nonlocal block_fetch, block_counter, fence_pos, issued, \
-                window_count
+            nonlocal block_fetch, fence_pos, issued, window_count
             if san is not None:
                 san.on_enter(i, now)
             s = sidx[i]
             cls = cls_col[s]
-            is_mem = cls == LD or cls == ST
-
-            # ---- gather producer arcs: (producer, kind, collapsible, uses)
-            arcs = []
-            src1 = src1_col[s]
-            src2 = src2_col[s]
-            expr_kind = _KIND_ADDR if is_mem else _KIND_OTHER
-            expr_collapsible = consumer_ok_col[s]
-            if src1 >= 0:
-                p = reg_writer[src1]
-                if p >= 0:
-                    if src2 == src1:
-                        arcs.append((p, expr_kind, expr_collapsible, 2))
-                    else:
-                        arcs.append((p, expr_kind, expr_collapsible, 1))
-            if src2 >= 0 and src2 != src1:
-                p = reg_writer[src2]
-                if p >= 0:
-                    arcs.append((p, expr_kind, expr_collapsible, 1))
-            if cls == ST:
-                data_reg = datasrc_col[s]
-                if data_reg >= 0:
-                    p = reg_writer[data_reg]
-                    if p >= 0:
-                        arcs.append((p, _KIND_OTHER, False, 1))
-            if reads_cc_col[s]:
-                p = reg_writer[32]
-                if p >= 0:
-                    arcs.append((p, _KIND_OTHER, consumer_ok_col[s], 1))
-            if cls == LD:
-                p = mem_writer.get(eff_addr[i] >> 2, -1)
-                if memory_arc is not None:
-                    memory_arc(i, s, p, arcs, now)
-                elif p >= 0:
-                    arcs.append((p, _KIND_OTHER, False, 1))
-            if gathered is not None:
-                gathered(i, s, arcs, now)
+            arcs = arc_rows[i]
+            if edit_arcs:
+                # A seam edits a fresh list, never the shared row.
+                arcs = list(arcs)
+                if memory_arc is not None and cls == LD:
+                    store = -1
+                    if arcs and arcs[-1][1] == KIND_OTHER:
+                        store = i - arcs.pop()[0]
+                    memory_arc(i, s, store, arcs, now)
+                if gathered is not None:
+                    gathered(i, s, arcs, now)
 
             b_addr = 0
             b_other = 0
@@ -336,13 +299,14 @@ class WindowScheduler:
                 leaves = leaves_col[s]
                 raw = leaves + zeros_col[s]
 
-            for p, kind, arc_collapsible, uses in arcs:
+            for distance, kind, arc_collapsible, uses, same_block in arcs:
+                p = i - distance
                 if arc_hook is not None and arc_hook(i, p, kind, now):
                     continue
                 if issue_cycle[p] >= 0 \
                         and (unverified is None or p not in unverified):
                     comp = completion[p]
-                    if kind == _KIND_ADDR:
+                    if kind == KIND_ADDR:
                         if comp > b_addr:
                             b_addr = comp
                     elif comp > b_other:
@@ -350,8 +314,7 @@ class WindowScheduler:
                     continue
                 # Producer still pending in the window.
                 merged = False
-                if collapsing and arc_collapsible and producer_ok_col[sidx[p]]:
-                    distance = i - p
+                if collapsing and arc_collapsible:
                     # (a squashed producer left the group table at its
                     # first issue and can no longer merge; one riding an
                     # unverified value must not either: the merged group
@@ -359,7 +322,7 @@ class WindowScheduler:
                     # inheriting its squash obligation)
                     pgroup = groups.get(p)
                     if pgroup is not None and distance <= reach and (
-                            cross_block or block_of[p] == block_counter) \
+                            cross_block or same_block) \
                             and (unverified is None or p not in unverified):
                         p_members, p_leaves, p_raw = pgroup
                         key = (len(members) + len(p_members),
@@ -391,8 +354,8 @@ class WindowScheduler:
                                 triple_signatures[tuple(
                                     sig_col[sidx[m]] for m in members)] += 1
                             # Inherit the producer's unresolved state.
-                            pb = bound_other.get(p, 0)
-                            if kind == _KIND_ADDR:
+                            pb = bound_other[p]
+                            if kind == KIND_ADDR:
                                 if pb > b_addr:
                                     b_addr = pb
                             elif pb > b_other:
@@ -410,26 +373,30 @@ class WindowScheduler:
             # ---- load classification / speculation
             addr_dropped = False
             if cls == LD:
-                has_pending_addr = any(kind == _KIND_ADDR
-                                       for _, kind in pending)
-                if not has_pending_addr and b_addr <= now:
-                    load_stats.record(LOAD_READY)
+                addr_waits = b_addr > now
+                if not addr_waits:
+                    for _, kind in pending:
+                        if kind == KIND_ADDR:
+                            addr_waits = True
+                            break
+                if not addr_waits:
+                    load_counts[LOAD_READY] += 1
                 elif load_spec == LOAD_SPEC_IDEAL or (
                         load_spec == LOAD_SPEC_REAL
                         and lp_attempted.get(i, False)
                         and lp_correct.get(i, False)):
-                    load_stats.record(LOAD_PRED_CORRECT)
+                    load_counts[LOAD_PRED_CORRECT] += 1
                     pending = [arc for arc in pending
-                               if arc[1] != _KIND_ADDR]
+                               if arc[1] != KIND_ADDR]
                     b_addr = 0
                     addr_dropped = True
                     if san is not None:
                         san.on_load_spec(i)
                 elif load_spec == LOAD_SPEC_REAL \
                         and lp_attempted.get(i, False):
-                    load_stats.record(LOAD_PRED_INCORRECT)
+                    load_counts[LOAD_PRED_INCORRECT] += 1
                 else:
-                    load_stats.record(LOAD_NOT_PREDICTED)
+                    load_counts[LOAD_NOT_PREDICTED] += 1
 
             # ---- node elimination (Figure 1.f extension): a collapsed
             # producer whose sole reader is this consumer never executes.
@@ -450,10 +417,9 @@ class WindowScheduler:
                     completion[p] = now
                     pend_addr.pop(p, None)
                     pend_other.pop(p, None)
-                    bound_addr.pop(p, None)
-                    bound_other.pop(p, None)
+                    bound_addr[p] = 0
+                    bound_other[p] = 0
                     groups.pop(p, None)
-                    block_of.pop(p, None)
                     issued += 1
                     if release is None or not release(p):
                         window_count -= 1
@@ -472,7 +438,7 @@ class WindowScheduler:
                 p_addr = set()
                 p_other = set()
                 for p, kind in pending:
-                    target = p_addr if kind == _KIND_ADDR else p_other
+                    target = p_addr if kind == KIND_ADDR else p_other
                     if p in target:
                         continue
                     target.add(p)
@@ -490,57 +456,14 @@ class WindowScheduler:
 
             if collapsing:
                 groups[i] = (members, leaves, raw)
-                block_of[i] = block_counter
 
-            # ---- architectural update (program order)
+            # ---- program-order update
             if on_order is not None:
                 on_order(i, s, cls, now)
-            dest = dest_col[s]
-            if dest >= 0:
-                reg_writer[dest] = i
-            if writes_cc_col[s]:
-                reg_writer[32] = i
-            if cls == ST:
-                mem_writer[eff_addr[i] >> 2] = i
-            if cls == BRC or cls == CTI:
-                block_counter += 1
-                if i in mispredicted \
-                        and (waive is None or not waive(i, s, now)):
-                    block_fetch = True
-                    fence_pos = i
-
-        # --------------------------------------------------------------
-        def notify(p, now):
-            comp = completion[p]
-            plist = consumers.pop(p, None)
-            if not plist:
-                return
-            if notified is not None:
-                notified(p, plist)
-            for c, kind in plist:
-                if kind == _KIND_ADDR:
-                    wait = pend_addr.get(c)
-                    if wait is None or p not in wait:
-                        continue
-                    wait.discard(p)
-                    if not wait:
-                        del pend_addr[c]
-                    if comp > bound_addr[c]:
-                        bound_addr[c] = comp
-                else:
-                    wait = pend_other.get(c)
-                    if wait is None or p not in wait:
-                        continue
-                    wait.discard(p)
-                    if not wait:
-                        del pend_other[c]
-                    if comp > bound_other[c]:
-                        bound_other[c] = comp
-                if c not in pend_addr and c not in pend_other:
-                    ba = bound_addr[c]
-                    bo = bound_other[c]
-                    ready_at = ba if ba > bo else bo
-                    heappush(future_heap, (ready_at, c))
+            if (cls == BRC or cls == CTI) and i in mispredicted \
+                    and (waive is None or not waive(i, s, now)):
+                block_fetch = True
+                fence_pos = i
 
         # --------------------------------------------------------------
         while issued < n or outstanding:
@@ -587,8 +510,8 @@ class WindowScheduler:
                         continue
                     if pos in pend_addr or pos in pend_other:
                         continue
-                    ba = bound_addr.get(pos, 0)
-                    bo = bound_other.get(pos, 0)
+                    ba = bound_addr[pos]
+                    bo = bound_other[pos]
                     ready_at = ba if ba > bo else bo
                     if ready_at > cycle:
                         heappush(future_heap, (ready_at, pos))
@@ -612,13 +535,42 @@ class WindowScheduler:
                     # The blocking branch issued (non-speculatively);
                     # resume fetch next cycle.
                     block_fetch = False
-                bound_addr.pop(pos, None)
-                bound_other.pop(pos, None)
+                bound_addr[pos] = 0
+                bound_other[pos] = 0
                 if collapsing:
                     groups.pop(pos, None)
-                    block_of.pop(pos, None)
-                if not withheld:
-                    notify(pos, cycle)
+                if withheld:
+                    continue
+                # Wake the consumers waiting on pos.
+                plist = consumers.pop(pos, None)
+                if not plist:
+                    continue
+                if notified is not None:
+                    notified(pos, plist)
+                comp = completion[pos]
+                for c, kind in plist:
+                    if kind == KIND_ADDR:
+                        wait = pend_addr.get(c)
+                        if wait is None or pos not in wait:
+                            continue
+                        wait.discard(pos)
+                        if not wait:
+                            del pend_addr[c]
+                        if comp > bound_addr[c]:
+                            bound_addr[c] = comp
+                    else:
+                        wait = pend_other.get(c)
+                        if wait is None or pos not in wait:
+                            continue
+                        wait.discard(pos)
+                        if not wait:
+                            del pend_other[c]
+                        if comp > bound_other[c]:
+                            bound_other[c] = comp
+                    if c not in pend_addr and c not in pend_other:
+                        ba = bound_addr[c]
+                        bo = bound_other[c]
+                        heappush(future_heap, (ba if ba > bo else bo, c))
 
             if issued_now:
                 cycle += 1

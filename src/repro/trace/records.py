@@ -149,10 +149,14 @@ class DynTrace:
     ``mem_value`` holds the loaded value for loads (0 elsewhere); it
     exists for the value-speculation extension and is not used by the
     paper's own configurations.
+
+    ``_soa`` and ``_arcs`` are lazily built memos: the SoA snapshot
+    (:meth:`soa`) and the scheduler's producer-arc table
+    (``repro.core.arcs.arc_table``).
     """
 
     __slots__ = ("static", "sidx", "eff_addr", "taken", "mem_value",
-                 "name", "_soa")
+                 "name", "_soa", "_arcs")
 
     def __init__(self, static, name=""):
         self.static = static
@@ -162,6 +166,7 @@ class DynTrace:
         self.mem_value = []
         self.name = name
         self._soa = None
+        self._arcs = None
 
     def __len__(self):
         return len(self.sidx)
